@@ -15,7 +15,7 @@ PERF_SMOKE_FLAGS ?=
 # JSON) land here instead of the repo root; the directory is gitignored.
 OUT_DIR := benchmarks/out
 
-.PHONY: test bench perf perf-smoke faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke invariants lint typecheck experiments fabric fabric-merge ci
+.PHONY: test bench perf perf-smoke perfbench-smoke faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke invariants lint typecheck experiments fabric fabric-merge ci
 
 test:  ## tier-1 test suite
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
@@ -28,6 +28,9 @@ perf:  ## rewrite the benchmarks/BENCH_views.json perf baseline
 
 perf-smoke:  ## quick perf gate: fail if view construction regresses >2x vs baseline
 	$(PYTHON) benchmarks/run_perf_suite.py --quick --check $(PERF_SMOKE_FLAGS)
+
+perfbench-smoke:  ## the benchmark's own tests, incl. pinned small-size digests (see perfbench/WORKLOADS.md)
+	$(PYTHON) -m pytest perfbench/tests -q
 
 faults-smoke:  ## zero-fault differential gate (see docs/FAULTS.md)
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.faults.gate
@@ -79,4 +82,4 @@ fabric-merge:  ## fold the fabric store into the canonical merged artifact
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments fabric merge \
 		$(OUT_DIR)/FABRIC_results.jsonl --out $(OUT_DIR)/RESULTS_experiments.json
 
-ci: lint typecheck invariants test faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke perf-smoke  ## exactly what .github/workflows/ci.yml runs
+ci: lint typecheck invariants test perfbench-smoke faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke perf-smoke  ## exactly what .github/workflows/ci.yml runs

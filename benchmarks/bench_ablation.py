@@ -19,6 +19,7 @@ from repro.core.assignment_search import smallest_successful_assignment
 from repro.core.infinity import AInfinitySolver
 from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
 from repro.problems.mis import MISProblem
+from repro.runtime.engine import collect_engine_metrics
 from repro.runtime.simulation import simulate_with_assignment
 from repro.views.local_views import view_partition
 from repro.views.refinement import refinement_partition
@@ -26,29 +27,12 @@ from benchmarks.conftest import lifted_colored_c3
 
 
 def _count_trials(algorithm, graph, order, strategy):
-    """Trials used by a search strategy (counted via a wrapping proxy)."""
-    calls = {"n": 0}
-
-    class Counting(type(algorithm)):
-        def transition(self, state, received, bits):
-            return super().transition(state, received, bits)
-
-    import repro.core.assignment_search as search_module
-
-    original = search_module.simulate_with_assignment
-
-    def counting_simulate(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
-
-    search_module.simulate_with_assignment = counting_simulate
-    try:
+    """Trials used by a search strategy: each is one engine execution."""
+    with collect_engine_metrics() as totals:
         assignment = smallest_successful_assignment(
             algorithm, graph, order, max_length=64, strategy=strategy
         )
-    finally:
-        search_module.simulate_with_assignment = original
-    return calls["n"], assignment
+    return totals.executions, assignment
 
 
 def test_search_order_ablation(report, benchmark):

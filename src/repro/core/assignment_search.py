@@ -9,7 +9,15 @@ counter over the free bits with the first node's bits most significant.
 
 The search is exponential in ``(#nodes × target length)`` — that is the
 honest cost of the paper's construction, and one of the things our
-benchmarks measure.  A budget guard raises
+benchmarks measure.  Its cost is trials × cost per trial.  An extension
+search runs its trials through a
+:class:`~repro.runtime.replay.PrefixReplay`, which rewinds each
+simulation to the first round whose bits changed and steps only the
+rounds after it, instead of running every trial from round 0.  In the
+lexicographic order consecutive assignments differ only in their low
+bits, so most trials step only their last rounds; the trials
+themselves are unchanged (``docs/PERFORMANCE.md``, *Prefix-replay
+search*).  A budget guard raises
 :class:`SearchBudgetExceeded` rather than hanging.  An alternative
 ``"prg"`` strategy enumerates candidate fillings in a *deterministic
 pseudorandom* order instead: every node still computes the same
@@ -27,6 +35,7 @@ from repro.exceptions import DerandomizationError
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.runtime.algorithm import AnonymousAlgorithm
 from repro.runtime.engine import execute
+from repro.runtime.replay import PrefixReplay
 
 Assignment = dict[Node, str]
 
@@ -114,6 +123,7 @@ def smallest_successful_extension(
     chosen predetermined order, or ``None`` when no extension of this
     length succeeds.  Raises :class:`SearchBudgetExceeded` when the
     budget runs out with candidates still untried."""
+    successful = PrefixReplay(algorithm, graph).successful
     tried = 0
     exhausted = True
     for assignment in enumerate_extensions(
@@ -123,8 +133,7 @@ def smallest_successful_extension(
             exhausted = False
             break
         tried += 1
-        result = execute(algorithm, graph, assignment=assignment)
-        if result.successful:
+        if successful(assignment):
             return assignment
     if not exhausted:
         raise SearchBudgetExceeded(

@@ -20,7 +20,7 @@ from repro.graphs.builders import (
 )
 from repro.graphs.coloring import is_two_hop_coloring
 from repro.problems.mis import MISProblem
-from repro.runtime.engine import execute
+from repro.runtime.engine import collect_engine_metrics, execute
 
 SEEDS = range(5)
 
@@ -258,9 +258,9 @@ def success_curve() -> ExperimentResult:
 
 @experiment("search-ablation", cost=2.0)
 def search_ablation() -> ExperimentResult:
-    """ABL: lexicographic vs PRG assignment-search order (trial counts)."""
-    import repro.core.assignment_search as search_module
+    """ABL: lexicographic vs PRG assignment-search order (trial counts).
 
+    Every trial is one execution absorbed by the metric collectors."""
     algorithm = AnonymousMISAlgorithm()
     cases = [
         ("path-2", with_uniform_input(path_graph(2))),
@@ -272,24 +272,14 @@ def search_ablation() -> ExperimentResult:
         order = list(graph.nodes)
         trials = {}
         for strategy in ("lexicographic", "prg"):
-            counter = {"n": 0}
-            original = search_module.execute
-
-            def counting(*args, **kwargs):
-                counter["n"] += 1
-                return original(*args, **kwargs)
-
-            search_module.execute = counting
-            try:
+            with collect_engine_metrics() as totals:
                 assignment = smallest_successful_assignment(
                     algorithm, graph, order, max_length=64, strategy=strategy
                 )
-            finally:
-                search_module.execute = original
             checks[f"{strategy} valid on {name}"] = execute(
                 algorithm, graph, assignment=assignment
             ).successful
-            trials[strategy] = counter["n"]
+            trials[strategy] = totals.executions
         rows.append(
             SweepRow(
                 name,

@@ -461,10 +461,19 @@ class LabeledGraph:
         )
 
 
+# Exact types returned as they are, before the isinstance chain below
+# (which would return them unchanged too, only slower).
+_ATOMS = frozenset({str, int, bool, float, type(None), bytes})
+
+
 def _freeze(value: Any) -> Any:
     """Recursively convert a label into a hashable value for keys."""
+    if type(value) in _ATOMS:
+        return value
     if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
+        return tuple(
+            [item if type(item) in _ATOMS else _freeze(item) for item in value]
+        )
     if isinstance(value, dict):
         return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
     if isinstance(value, set):

@@ -210,7 +210,8 @@ def collect_engine_metrics() -> Iterator[EngineMetricsTotals]:
     try:
         yield totals
     finally:
-        _COLLECTORS.remove(totals)
+        # By identity: nested collectors that saw the same runs compare equal.
+        _COLLECTORS[:] = [other for other in _COLLECTORS if other is not totals]
 
 
 class RoundHook:
@@ -257,21 +258,43 @@ class DeliveryDiscipline(ABC):
         """The tuple handed to ``node``'s transition this round."""
 
 
+class _Broadcasts(dict):
+    """One round's broadcast outboxes.  Each sender's sort key is
+    computed once, at its first delivery, instead of once per receiver."""
+
+    __slots__ = ("_keys",)
+
+    def sort_keys(self) -> dict[Node, str]:
+        try:
+            return self._keys
+        except AttributeError:
+            self._keys = {u: _message_sort_key(m) for u, m in self.items()}
+            return self._keys
+
+
 class BroadcastDelivery(DeliveryDiscipline):
-    """Anonymous broadcast: the sorted multiset of neighbor messages."""
+    """Anonymous broadcast: the sorted multiset of neighbor messages.
+
+    Sorting the neighbors stably by their messages' keys yields the same
+    tuple as sorting the messages themselves.  The keys are cached per
+    sender, never per message value: ``1``, ``True`` and ``1.0`` are
+    equal but their keys differ."""
 
     name = "broadcast"
 
     def emit(self, algorithm, states, graph):
-        return {v: algorithm.message(states[v]) for v in graph.nodes}
+        outboxes = _Broadcasts()
+        for v in graph.nodes:
+            outboxes[v] = algorithm.message(states[v])
+        return outboxes
 
     def inbox(self, outboxes, node, graph):
-        return tuple(
-            sorted(
-                (outboxes[u] for u in graph.neighbors(node)),
-                key=_message_sort_key,
-            )
-        )
+        neighbors = graph.neighbors(node)
+        if isinstance(outboxes, _Broadcasts):
+            keys = outboxes.sort_keys()
+        else:
+            keys = {u: _message_sort_key(outboxes[u]) for u in neighbors}
+        return tuple(map(outboxes.__getitem__, sorted(neighbors, key=keys.__getitem__)))
 
 
 class PortDelivery(DeliveryDiscipline):
@@ -458,7 +481,7 @@ class ExecutionEngine:
                 "cannot step: some node's bit tape is exhausted"
             )
         graph, algorithm = self._graph, self._algorithm
-        outboxes = self._delivery.emit(algorithm, self._states, graph)
+        outboxes = self._emit()
         bits_drawn: dict[Node, str] = {}
         new_states: dict[Node, Any] = {}
         for v in graph.nodes:
@@ -469,7 +492,7 @@ class ExecutionEngine:
         self._states = new_states
         self._rounds += 1
         new_outputs = self._note_outputs(bits_drawn)
-        self._metrics.rounds = self._rounds
+        self._metrics.rounds += 1
         self._metrics.messages_sent += self._payloads_per_round
         self._metrics.bits_drawn += algorithm.bits_per_round * graph.num_nodes
         self._metrics.decided_per_round.append(len(new_outputs))
@@ -482,6 +505,10 @@ class ExecutionEngine:
             self._trace.rounds.append(record)
         for hook in self._hooks:
             hook.on_round(self, new_outputs)
+
+    def _emit(self) -> Mapping[Node, Any]:
+        """This round's outboxes (a replaying engine reuses recorded ones)."""
+        return self._delivery.emit(self._algorithm, self._states, self._graph)
 
     def _note_outputs(self, bits_drawn: dict[Node, str]) -> dict[Node, Any]:
         """Register newly decided nodes, enforcing irrevocability.
@@ -572,6 +599,33 @@ def register_topology_provider(provider: Any) -> None:
     _TOPOLOGY_PROVIDER = provider
 
 
+def _ambient_context_active() -> bool:
+    """Whether an execute() call made now would be wrapped by an ambient
+    fault injection or churn context."""
+    return any(
+        provider is not None and provider() is not None
+        for provider in (_INJECTION_PROVIDER, _TOPOLOGY_PROVIDER)
+    )
+
+
+def _funded_rounds(
+    algorithm: Any, graph: LabeledGraph, assignment: Mapping[Node, str]
+) -> int:
+    """Check that ``assignment`` can induce a simulation and return the
+    rounds it funds, ``l = min_v floor(|b(v)| / bits_per_round)``."""
+    missing = [v for v in graph.nodes if v not in assignment]
+    if missing:
+        raise SimulationError(f"assignment does not cover nodes {missing!r}")
+    bits_per_round = algorithm.bits_per_round
+    if bits_per_round == 0:
+        raise SimulationError(
+            "simulations induced by an assignment require a randomized "
+            "algorithm (bits_per_round >= 1); deterministic algorithms "
+            "run via execute() with no randomness source"
+        )
+    return min(len(assignment[v]) // bits_per_round for v in graph.nodes)
+
+
 def _infer_delivery(algorithm: Any) -> DeliveryDiscipline:
     from repro.runtime.port_model import PortAwareAlgorithm
 
@@ -632,19 +686,8 @@ def execute(
     bits_per_round = algorithm.bits_per_round
     funded_limit: int | None = None
     if assignment is not None:
-        missing = [v for v in graph.nodes if v not in assignment]
-        if missing:
-            raise SimulationError(f"assignment does not cover nodes {missing!r}")
-        if bits_per_round == 0:
-            raise SimulationError(
-                "simulations induced by an assignment require a randomized "
-                "algorithm (bits_per_round >= 1); deterministic algorithms "
-                "run via execute() with no randomness source"
-            )
+        funded_limit = _funded_rounds(algorithm, graph, assignment)
         tapes = {v: FixedTape(assignment[v]) for v in graph.nodes}
-        funded_limit = min(
-            len(assignment[v]) // bits_per_round for v in graph.nodes
-        )
     elif seed is not None:
         tapes = {
             v: RecordingTape(RandomTape(seed * 1_000_003 + index))

@@ -51,10 +51,20 @@ class FixedTape(BitSource):
     """Replays a fixed bitstring; exhausting it ends the simulation."""
 
     def __init__(self, bits: str) -> None:
-        if any(c not in "01" for c in bits):
+        self._bits = ""
+        self.rewind(bits, 0)
+
+    def rewind(self, bits: str, position: int) -> None:
+        """Replay ``bits`` from ``position`` on (a prefix replay re-points
+        one tape per node at each new assignment)."""
+        if bits != self._bits and any(c not in "01" for c in bits):
             raise SimulationError(f"bitstring may contain only 0/1, got {bits!r}")
         self._bits = bits
-        self._position = 0
+        self._position = position
+
+    @property
+    def bits(self) -> str:
+        return self._bits
 
     def draw(self, count: int) -> str:
         if not self.remaining(count):

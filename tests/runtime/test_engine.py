@@ -350,6 +350,16 @@ class TestMetricsCollection:
         assert inner.executions == 1
         assert outer.executions == 2
 
+    def test_an_inner_collector_equal_to_the_outer_one_closes_alone(self):
+        # Opened together, the two totals compare equal until the inner
+        # one closes; closing it must not close the outer one instead.
+        with collect_engine_metrics() as outer:
+            with collect_engine_metrics() as inner:
+                self._run_once()
+            self._run_once()
+        assert inner.executions == 1
+        assert outer.executions == 2
+
     def test_absorb_and_as_dict(self):
         totals = EngineMetricsTotals()
         totals.absorb(
